@@ -6,9 +6,9 @@
 //
 //	go test -run '^$' -bench . -benchmem ./... | benchjson > BENCH_BASELINE.json
 //
-// Only benchmark result lines are parsed; context lines (goos/goarch/pkg,
-// PASS, ok) set metadata or are ignored. The JSON is deterministic:
-// benchmarks appear in input order and keys are fixed.
+// Only benchmark result lines are parsed; context lines (nproc/goos/
+// goarch/cpu/pkg, PASS, ok) set metadata or are ignored. The JSON is
+// deterministic: benchmarks appear in input order and keys are fixed.
 package main
 
 import (
@@ -40,6 +40,7 @@ type Baseline struct {
 	Goos       string   `json:"goos,omitempty"`
 	Goarch     string   `json:"goarch,omitempty"`
 	CPU        string   `json:"cpu,omitempty"`
+	Nproc      int      `json:"nproc,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -57,6 +58,8 @@ func main() {
 			base.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "cpu:"):
 			base.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		case strings.HasPrefix(line, "nproc:"):
+			base.Nproc, _ = strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(line, "nproc:")))
 		case strings.HasPrefix(line, "pkg:"):
 			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "Benchmark"):

@@ -18,9 +18,7 @@ import (
 // carry. A heavy-tailed synthetic stream of N distinct flows is fed
 // through per-shard count-min + space-saving sketches on the wall clock,
 // the shards merge into one top-k demand report, and the decision engine
-// re-ranks it over churning cycles — full sort and incremental re-rank
-// side by side, which is the comparison that motivates the incremental
-// engine.
+// re-ranks it over churning cycles.
 func runSketchScale(flows int, seed int64) {
 	const (
 		shards   = 4
@@ -83,10 +81,9 @@ func runSketchScale(flows int, seed int64) {
 	fmt.Printf("merge+report: %d heavy-hitter patterns (floor=%d) in %v\n",
 		len(report), acct.Floor(), time.Since(start).Round(time.Microsecond))
 
-	// Phase 3: decision latency, full sort vs incremental re-rank, over
-	// churning cycles. Candidates come straight from the report; each
-	// cycle perturbs 1% of scores, the steady-state churn a running rack
-	// shows between control intervals.
+	// Phase 3: decision latency over churning cycles. Candidates come
+	// straight from the report; each cycle perturbs 1% of scores, the
+	// steady-state churn a running rack shows between control intervals.
 	cands := make([]decision.Candidate, 0, len(report))
 	for _, pc := range report {
 		cands = append(cands, decision.Candidate{
@@ -98,38 +95,27 @@ func runSketchScale(flows int, seed int64) {
 	}
 	dcfg := decision.Config{Budget: 1000, MinScore: 1, HysteresisRatio: 1.2}
 	offloaded := make(map[rules.Pattern]bool)
-	inc := decision.NewIncremental(0)
-	inc.Decide(dcfg, cands, offloaded) // warm the carried order
 	rng := rand.New(rand.NewSource(seed ^ 0x5ce7c4))
 
-	var fullTotal, incTotal time.Duration
+	var total time.Duration
 	for c := 0; c < cycles; c++ {
 		for i := 0; i < len(cands)/100+1; i++ {
 			j := rng.Intn(len(cands))
 			cands[j].MedianPPS *= 0.8 + 0.4*rng.Float64()
 		}
 		start = time.Now()
-		df := decision.Decide(dcfg, cands, offloaded)
-		fullTotal += time.Since(start)
-		start = time.Now()
-		di := inc.Decide(dcfg, cands, offloaded)
-		incTotal += time.Since(start)
-		if len(df.Offload) != len(di.Offload) {
-			fmt.Printf("cycle %d: DIVERGENCE full=%d incremental=%d offloads\n",
-				c, len(df.Offload), len(di.Offload))
-		}
+		d := decision.Decide(dcfg, cands, offloaded)
+		total += time.Since(start)
 		// Feed the decision back so hysteresis has incumbents to guard.
 		for k := range offloaded {
 			delete(offloaded, k)
 		}
-		for _, p := range di.Offload {
+		for _, p := range d.Offload {
 			offloaded[p] = true
 		}
 	}
-	fmt.Printf("decision over %d candidates, %d cycles at 1%% churn:\n", len(cands), cycles)
-	fmt.Printf("  full sort:   %v/cycle\n", (fullTotal / cycles).Round(time.Microsecond))
-	fmt.Printf("  incremental: %v/cycle (%.1fx faster)\n",
-		(incTotal / cycles).Round(time.Microsecond), float64(fullTotal)/float64(incTotal))
+	fmt.Printf("decision over %d candidates, %d cycles at 1%% churn: %v/cycle\n",
+		len(cands), cycles, (total / cycles).Round(time.Microsecond))
 
 	// The ranking the TOR would act on.
 	top := report

@@ -72,10 +72,10 @@ type Options struct {
 	Controller ControllerOptions
 	// SketchAccounting switches flow accounting from exact per-flow
 	// datapath snapshots to the streaming heavy-hitter sketch of
-	// internal/sketch (count-min + space-saving top-k) and the TOR
-	// decision engine to incremental re-ranking — constant memory and
-	// near-constant decision cost regardless of live-flow count. Off
-	// (default) keeps the exact paper-prototype accounting.
+	// internal/sketch (count-min + space-saving top-k) — constant
+	// accounting memory regardless of live-flow count. It selects
+	// accounting only; ranking is the same in both modes. Off (default)
+	// keeps the exact paper-prototype accounting.
 	SketchAccounting bool
 	// SketchTopK sizes the per-server monitored heavy-hitter set when
 	// SketchAccounting is on (0 = default 1024). It should exceed the

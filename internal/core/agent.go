@@ -152,7 +152,7 @@ func (a *switchAgent) tableReply() *openflow.TableReply {
 		if ris[i].Priority != ris[j].Priority {
 			return ris[i].Priority > ris[j].Priority
 		}
-		return ris[i].Pattern.String() < ris[j].Pattern.String()
+		return ris[i].Pattern.Compare(ris[j].Pattern) < 0
 	})
 	out := make([]openflow.TableRule, len(ris))
 	for i, ri := range ris {

@@ -96,10 +96,10 @@ type Config struct {
 	// accountant of internal/sketch (count-min + space-saving top-k): the
 	// vswitch fast path accrues into the sketch as packets classify, and
 	// the ME samples the top-k pattern report instead of walking every
-	// exact-cache entry. Demand reports carry an openflow.SketchMeta tail
-	// and the TOR decision engine re-ranks incrementally. Off (the
-	// default) preserves the exact path byte for byte — it remains the
-	// differential-testing oracle.
+	// exact-cache entry. Demand reports carry an openflow.SketchMeta tail.
+	// The option selects accounting only: the TOR decision engine ranks
+	// the same way in both modes. Off (the default) preserves the exact
+	// path byte for byte — it remains the differential-testing oracle.
 	SketchAccounting bool
 	// Sketch parameterizes the accountant when SketchAccounting is set
 	// (zero value = sketch defaults: k=1024, 2048×4 counters). The
@@ -509,7 +509,7 @@ func (m *Manager) OffloadedPatterns() []rules.Pattern {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 

@@ -184,7 +184,7 @@ func (lc *LocalController) checkLease() {
 	for p := range lc.installed {
 		ps = append(ps, p)
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].String() < ps[j].String() })
+	sort.Slice(ps, func(i, j int) bool { return ps[i].Compare(ps[j]) < 0 })
 	for _, p := range ps {
 		lc.removePlacement(p)
 	}
@@ -343,7 +343,7 @@ func (lc *LocalController) applySync(m *openflow.RuleSync) {
 				extra = append(extra, p)
 			}
 		}
-		sort.Slice(extra, func(i, j int) bool { return extra[i].String() < extra[j].String() })
+		sort.Slice(extra, func(i, j int) bool { return extra[i].Compare(extra[j]) < 0 })
 		for _, p := range extra {
 			lc.removePlacement(p)
 		}
@@ -525,7 +525,7 @@ func (lc *LocalController) Placements() []rules.Pattern {
 	for p := range lc.installed {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 

@@ -188,7 +188,7 @@ func (tc *TORController) nicReconcile() {
 	for p := range tc.nicDesired {
 		ps = append(ps, p)
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].String() < ps[j].String() })
+	sort.Slice(ps, func(i, j int) bool { return ps[i].Compare(ps[j]) < 0 })
 	for _, p := range ps {
 		s := tc.nicDesired[p]
 		rep, ok := tc.nicReported[s]
@@ -214,7 +214,7 @@ func (tc *TORController) nicReconcile() {
 				orphans = append(orphans, p)
 			}
 		}
-		sort.Slice(orphans, func(i, j int) bool { return orphans[i].String() < orphans[j].String() })
+		sort.Slice(orphans, func(i, j int) bool { return orphans[i].Compare(orphans[j]) < 0 })
 		for _, p := range orphans {
 			tc.NICOrphans++
 			if tc.rec != nil {
@@ -241,7 +241,7 @@ func (tc *TORController) nicDesiredList() []rules.Pattern {
 	for p := range tc.nicDesired {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 
@@ -258,6 +258,6 @@ func (m *Manager) NICPlacedPatterns() []rules.Pattern {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }

@@ -170,7 +170,7 @@ func (s *TORService) Placements() []PlacementView {
 		if out[i].State != out[j].State {
 			return out[i].State < out[j].State
 		}
-		return out[i].Pattern.String() < out[j].Pattern.String()
+		return out[i].Pattern.Compare(out[j].Pattern) < 0
 	})
 	return out
 }
@@ -204,7 +204,7 @@ func (s *TORService) HardwareRules() []HardwareRuleView {
 		if out[i].Priority != out[j].Priority {
 			return out[i].Priority > out[j].Priority
 		}
-		return out[i].Pattern.String() < out[j].Pattern.String()
+		return out[i].Pattern.Compare(out[j].Pattern) < 0
 	})
 	return out
 }
@@ -333,7 +333,7 @@ func (s *AgentService) augmentReport(rep *openflow.DemandReport) {
 		}
 		stats := t.Stats()
 		sort.Slice(stats, func(i, j int) bool {
-			return stats[i].Pattern.String() < stats[j].Pattern.String()
+			return stats[i].Pattern.Compare(stats[j].Pattern) < 0
 		})
 		for _, st := range stats {
 			if !s.LC.installed[st.Pattern] {

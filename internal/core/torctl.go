@@ -125,14 +125,6 @@ type TORController struct {
 	smoother *decision.Smoother
 	damper   *decision.FlapDamper
 
-	// inc is the incremental re-rank engine, non-nil only in sketch
-	// accounting mode: it carries the ranked candidate order across
-	// control intervals so each cycle re-sorts only candidates whose
-	// effective score changed. With band 0 its decisions are identical
-	// to DecideTiered by construction. Volatile (reset on Crash) — the
-	// cache is a pure ordering optimization, so losing it is always safe.
-	inc *decision.IncrementalTiered
-
 	// urgent maps tenants flagged by OverloadHints to the sim time their
 	// priority boost expires.
 	urgent map[packet.TenantID]sim.Time
@@ -292,12 +284,7 @@ type TORController struct {
 }
 
 func newTORController(m *Manager, t *tor.TOR) *TORController {
-	var inc *decision.IncrementalTiered
-	if m.Cfg.SketchAccounting {
-		inc = decision.NewIncrementalTiered(0)
-	}
 	return &TORController{
-		inc:            inc,
 		mgr:            m,
 		tor:            t,
 		reports:        make(map[uint32]openflow.DemandReport),
@@ -451,9 +438,6 @@ func (tc *TORController) Crash() {
 	tc.lastReportAt = make(map[uint32]sim.Time)
 	tc.smoother = decision.NewSmoother(tc.mgr.Cfg.Smoother)
 	tc.damper = decision.NewFlapDamper(tc.mgr.Cfg.Damper)
-	if tc.inc != nil {
-		tc.inc.Reset()
-	}
 	tc.urgent = make(map[packet.TenantID]sim.Time)
 	tc.offloaded = make(map[rules.Pattern]bool)
 	tc.installing = make(map[rules.Pattern]*installState)
@@ -750,7 +734,7 @@ func (tc *TORController) enterDegraded() {
 	for p := range tc.installing {
 		aborts = append(aborts, p)
 	}
-	sort.Slice(aborts, func(i, j int) bool { return aborts[i].String() < aborts[j].String() })
+	sort.Slice(aborts, func(i, j int) bool { return aborts[i].Compare(aborts[j]) < 0 })
 	for _, p := range aborts {
 		tc.abortInstall(p)
 	}
@@ -979,15 +963,7 @@ func (tc *TORController) tick() {
 		NICHysteresisRatio: tc.mgr.Cfg.NICHysteresisRatio,
 		NICTenantQuota:     tc.mgr.Cfg.NICTenantQuota,
 	}
-	var td decision.TieredDecision
-	if tc.inc != nil {
-		// Sketch mode: incremental re-rank over the carried order —
-		// identical output to DecideTiered (band 0), without the full
-		// sort when most scores are unchanged.
-		td = tc.inc.Decide(tcfg, cands, current, nicStates, hostOf)
-	} else {
-		td = decision.DecideTiered(tcfg, cands, current, nicStates, hostOf)
-	}
+	td := decision.DecideTiered(tcfg, cands, current, nicStates, hostOf)
 	// Flap damping on top of score hysteresis: a pattern whose offload
 	// state flipped repeatedly in quick succession is pinned to its
 	// current state until the penalty decays (internal/decision/damper.go).
@@ -1274,7 +1250,7 @@ func (tc *TORController) announce(a openflow.OffloadAction) {
 			return
 		}
 		sort.Slice(acts, func(i, j int) bool {
-			return acts[i].Pattern.String() < acts[j].Pattern.String()
+			return acts[i].Pattern.Compare(acts[j].Pattern) < 0
 		})
 		dec := &openflow.OffloadDecision{Actions: acts,
 			Term: tc.term, Origin: uint32(tc.replicaID)}
@@ -1410,7 +1386,7 @@ func (tc *TORController) tryRemovals() {
 	for p := range tc.removing {
 		ps = append(ps, p)
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].String() < ps[j].String() })
+	sort.Slice(ps, func(i, j int) bool { return ps[i].Compare(ps[j]) < 0 })
 	min := tc.minAckedSeq()
 	now := tc.mgr.Cluster.Eng.Now()
 	for _, p := range ps {
@@ -1478,7 +1454,7 @@ func (tc *TORController) reconcile(rep *openflow.TableReply) {
 			lost = append(lost, p)
 		}
 	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i].String() < lost[j].String() })
+	sort.Slice(lost, func(i, j int) bool { return lost[i].Compare(lost[j]) < 0 })
 	for _, p := range lost {
 		delete(tc.offloaded, p)
 		delete(tc.prevHW, p)
@@ -1501,7 +1477,7 @@ func (tc *TORController) reconcile(rep *openflow.TableReply) {
 			}
 		}
 	}
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i].String() < orphans[j].String() })
+	sort.Slice(orphans, func(i, j int) bool { return orphans[i].Compare(orphans[j]) < 0 })
 	for _, p := range orphans {
 		tc.beginOrphanRemove(p)
 	}
@@ -1636,9 +1612,9 @@ func (tc *TORController) demoteVM(tenant packet.TenantID, vmIP packet.IP) {
 		return
 	}
 	sort.Slice(actions, func(i, j int) bool {
-		return actions[i].Pattern.String() < actions[j].Pattern.String()
+		return actions[i].Pattern.Compare(actions[j].Pattern) < 0
 	})
-	sort.Slice(aborts, func(i, j int) bool { return aborts[i].String() < aborts[j].String() })
+	sort.Slice(aborts, func(i, j int) bool { return aborts[i].Compare(aborts[j]) < 0 })
 	now := tc.mgr.Cluster.Eng.Now()
 	for _, a := range actions {
 		tc.beginRemove(a.Pattern)
@@ -1652,7 +1628,7 @@ func (tc *TORController) demoteVM(tenant packet.TenantID, vmIP packet.IP) {
 		tc.abortInstall(p)
 		tc.damper.ForceState(p, false, now)
 	}
-	sort.Slice(nicPulls, func(i, j int) bool { return nicPulls[i].String() < nicPulls[j].String() })
+	sort.Slice(nicPulls, func(i, j int) bool { return nicPulls[i].Compare(nicPulls[j]) < 0 })
 	for _, p := range nicPulls {
 		s := tc.nicDesired[p]
 		tc.nicRemove(p, s, "nic->software", 0)
@@ -1700,6 +1676,6 @@ func (tc *TORController) offloadedList() []rules.Pattern {
 	for p := range tc.offloaded {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }

@@ -329,7 +329,7 @@ func (s *Smoother) Advance(cands []Candidate, offloaded map[rules.Pattern]bool) 
 	for p := range s.state {
 		pats = append(pats, p)
 	}
-	sort.Slice(pats, func(i, j int) bool { return pats[i].String() < pats[j].String() })
+	sort.Slice(pats, func(i, j int) bool { return pats[i].Compare(pats[j]) < 0 })
 	out := make([]Candidate, 0, len(pats))
 	for _, p := range pats {
 		out = append(out, s.state[p].cand)

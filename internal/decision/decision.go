@@ -73,7 +73,7 @@ type unit struct {
 	eligible bool
 }
 
-// normalize clamps the config fields every entry point must agree on.
+// normalize clamps out-of-range config fields.
 func (cfg Config) normalize() Config {
 	if cfg.Budget < 0 {
 		cfg.Budget = 0
@@ -88,30 +88,21 @@ func (cfg Config) normalize() Config {
 // pattern set.
 func Decide(cfg Config, cands []Candidate, offloaded map[rules.Pattern]bool) Decision {
 	cfg = cfg.normalize()
-	// Deterministic ranking: score desc, pattern string as tie-break.
+	// Deterministic ranking: score desc, canonical pattern order as
+	// tie-break.
 	ranked := append([]Candidate(nil), cands...)
 	sort.Slice(ranked, func(i, j int) bool {
 		si, sj := effectiveScore(cfg, ranked[i], offloaded), effectiveScore(cfg, ranked[j], offloaded)
 		if si != sj {
 			return si > sj
 		}
-		return ranked[i].Pattern.String() < ranked[j].Pattern.String()
+		return ranked[i].Pattern.Compare(ranked[j].Pattern) < 0
 	})
-	return decideRanked(cfg, ranked, offloaded)
-}
 
-// decideRanked is the selection half of Decide: it takes candidates
-// already in canonical rank order (effective score descending, pattern
-// string ascending within ties) and produces the Decision. The Incremental
-// engine maintains that order across cycles and calls this directly, so
-// exact and incremental modes share one selection semantics by
-// construction. cfg must already be normalized.
-func decideRanked(cfg Config, ranked []Candidate, offloaded map[rules.Pattern]bool) Decision {
 	// No groups: every unit is a single candidate, the stable unit sort is
-	// the identity on an already-ranked input, and a full unit never fits
-	// once the budget is reached — so the fold below degenerates to a
-	// greedy prefix fill. Do that directly; it is the common case and
-	// keeps the incremental engine's cycle O(n).
+	// the identity on the ranked input, and a full unit never fits once
+	// the budget is reached — so the fold below degenerates to a greedy
+	// prefix fill. Do that directly; it is the common case.
 	if len(cfg.Groups) == 0 {
 		var d Decision
 		selected := make(map[rules.Pattern]bool, cfg.Budget)
@@ -203,7 +194,7 @@ func demoteList(offloaded, selected map[rules.Pattern]bool) []rules.Pattern {
 			demote = append(demote, p)
 		}
 	}
-	sort.Slice(demote, func(i, j int) bool { return demote[i].String() < demote[j].String() })
+	sort.Slice(demote, func(i, j int) bool { return demote[i].Compare(demote[j]) < 0 })
 	return demote
 }
 
@@ -258,7 +249,7 @@ func CandidatesFromReports(reports []openflow.DemandReport, hwPPS map[rules.Patt
 		}
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pattern.String() < out[j].Pattern.String() })
+	sort.Slice(out, func(i, j int) bool { return out[i].Pattern.Compare(out[j].Pattern) < 0 })
 	return out
 }
 

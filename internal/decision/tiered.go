@@ -151,6 +151,6 @@ func applyQuota(d Decision, quota int, placed map[rules.Pattern]bool) Decision {
 			d.Demote = append(d.Demote, p)
 		}
 	}
-	sort.Slice(d.Demote, func(i, j int) bool { return d.Demote[i].String() < d.Demote[j].String() })
+	sort.Slice(d.Demote, func(i, j int) bool { return d.Demote[i].Compare(d.Demote[j]) < 0 })
 	return d
 }

@@ -343,7 +343,7 @@ func runFailover(cfg FailoverConfig, withFaults bool) (FailoverResult, error) {
 				hw = append(hw, ri.Pattern)
 			}
 		}
-		sort.Slice(hw, func(i, j int) bool { return hw[i].String() < hw[j].String() })
+		sort.Slice(hw, func(i, j int) bool { return hw[i].Compare(hw[j]) < 0 })
 		res.Desired = patternStrings(desired)
 		res.Hardware = patternStrings(hw)
 		res.HardwareMatchesDesired = equalStrings(res.Desired, res.Hardware)

@@ -283,7 +283,7 @@ func (m *Engine) emitReport() {
 		pats = append(pats, pat)
 	}
 	// Deterministic report order.
-	sort.Slice(pats, func(i, j int) bool { return pats[i].String() < pats[j].String() })
+	sort.Slice(pats, func(i, j int) bool { return pats[i].Compare(pats[j]) < 0 })
 	for _, pat := range pats {
 		st := m.flows[pat]
 		e := m.entryFor(st)
@@ -385,7 +385,7 @@ func (m *Engine) ProfileFor(tenant packet.TenantID, vmIP packet.IP) Profile {
 		}
 	}
 	sort.Slice(p.Entries, func(i, j int) bool {
-		return p.Entries[i].Pattern.String() < p.Entries[j].Pattern.String()
+		return p.Entries[i].Pattern.Compare(p.Entries[j].Pattern) < 0
 	})
 	return p
 }

@@ -13,6 +13,7 @@ package packet
 import (
 	"fmt"
 	"net/netip"
+	"strconv"
 )
 
 // MAC is a 48-bit Ethernet address.
@@ -62,7 +63,19 @@ func MustParseIP(s string) IP {
 
 // String formats the address in dotted-quad notation.
 func (ip IP) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
+	var buf [15]byte
+	return string(ip.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the dotted-quad form of the address to b.
+func (ip IP) AppendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(byte(ip>>24)), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(byte(ip>>16)), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(byte(ip>>8)), 10)
+	b = append(b, '.')
+	return strconv.AppendUint(b, uint64(byte(ip)), 10)
 }
 
 // Mask applies a prefix mask of the given length (0–32).

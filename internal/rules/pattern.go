@@ -7,8 +7,8 @@
 package rules
 
 import (
-	"fmt"
-	"strings"
+	"bytes"
+	"strconv"
 
 	"repro/internal/packet"
 )
@@ -109,38 +109,65 @@ func (p Pattern) IsExact() bool {
 }
 
 // String renders the pattern compactly, e.g.
-// "t3 10.0.0.1/32:* > */0:11211 tcp".
+// "t3 10.0.0.1/32:* > *:11211 tcp".
 func (p Pattern) String() string {
-	var b strings.Builder
+	var buf [maxPatternText]byte
+	return string(p.appendText(buf[:0]))
+}
+
+// Compare orders patterns canonically: it returns -1, 0 or +1 exactly as
+// strings.Compare(p.String(), q.String()) would, without allocating. Every
+// deterministic ordering of patterns (decision ranking tie-breaks, demote
+// lists, report entries, resync sweeps) sorts by it.
+func (p Pattern) Compare(q Pattern) int {
+	var pb, qb [maxPatternText]byte
+	return bytes.Compare(p.appendText(pb[:0]), q.appendText(qb[:0]))
+}
+
+// maxPatternText bounds the rendered pattern: two 20-digit ints for the
+// prefixes plus the fixed-width fields, so the stack buffers in String and
+// Compare never grow.
+const maxPatternText = 128
+
+// appendText appends the String form of the pattern to b.
+func (p Pattern) appendText(b []byte) []byte {
 	if p.AnyTenant {
-		b.WriteString("t* ")
+		b = append(b, "t* "...)
 	} else {
-		fmt.Fprintf(&b, "t%d ", p.Tenant)
+		b = append(b, 't')
+		b = strconv.AppendUint(b, uint64(p.Tenant), 10)
+		b = append(b, ' ')
 	}
-	part := func(ip packet.IP, prefix int, port uint16) {
-		if prefix == 0 {
-			b.WriteString("*")
-		} else {
-			fmt.Fprintf(&b, "%s/%d", ip, prefix)
-		}
-		if port == 0 {
-			b.WriteString(":*")
-		} else {
-			fmt.Fprintf(&b, ":%d", port)
-		}
-	}
-	part(p.Src, p.SrcPrefix, p.SrcPort)
-	b.WriteString(" > ")
-	part(p.Dst, p.DstPrefix, p.DstPort)
+	b = appendEndpoint(b, p.Src, p.SrcPrefix, p.SrcPort)
+	b = append(b, " > "...)
+	b = appendEndpoint(b, p.Dst, p.DstPrefix, p.DstPort)
 	switch p.Proto {
 	case 0:
-		b.WriteString(" *")
+		b = append(b, " *"...)
 	case packet.ProtoTCP:
-		b.WriteString(" tcp")
+		b = append(b, " tcp"...)
 	case packet.ProtoUDP:
-		b.WriteString(" udp")
+		b = append(b, " udp"...)
 	default:
-		fmt.Fprintf(&b, " %d", p.Proto)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, uint64(p.Proto), 10)
 	}
-	return b.String()
+	return b
+}
+
+// appendEndpoint renders one side of a pattern: "*" or "ip/prefix", then
+// ":*" or ":port".
+func appendEndpoint(b []byte, ip packet.IP, prefix int, port uint16) []byte {
+	if prefix == 0 {
+		b = append(b, '*')
+	} else {
+		b = ip.AppendTo(b)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(prefix), 10)
+	}
+	if port == 0 {
+		return append(b, ":*"...)
+	}
+	b = append(b, ':')
+	return strconv.AppendUint(b, uint64(port), 10)
 }

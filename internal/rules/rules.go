@@ -1,7 +1,7 @@
 package rules
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/packet"
 )
@@ -51,7 +51,7 @@ type SecurityRule struct {
 }
 
 func (r SecurityRule) String() string {
-	return fmt.Sprintf("%s %s prio=%d", r.Action, r.Pattern, r.Priority)
+	return r.Action.String() + " " + r.Pattern.String() + " prio=" + strconv.Itoa(r.Priority)
 }
 
 // QoSRule directs matching traffic to a queue/class (§4.1.3: "Rules in the
@@ -194,25 +194,6 @@ func (v *VMRules) EvaluateMask(k packet.FlowKey) (Action, FieldMask) {
 	return a, m
 }
 
-// EvaluateLinear is the seed linear-scan implementation, kept as the
-// reference for differential testing.
-func (v *VMRules) EvaluateLinear(k packet.FlowKey) Action {
-	best := -1
-	bestSpec := -1
-	action := Deny
-	for i := range v.Security {
-		r := &v.Security[i]
-		if !r.Pattern.Match(k) {
-			continue
-		}
-		spec := r.Pattern.Specificity()
-		if r.Priority > best || (r.Priority == best && spec > bestSpec) {
-			best, bestSpec, action = r.Priority, spec, r.Action
-		}
-	}
-	return action
-}
-
 // QueueFor returns the QoS queue for the flow, or 0 (best effort) if no
 // QoS rule matches.
 func (v *VMRules) QueueFor(k packet.FlowKey) int {
@@ -231,20 +212,6 @@ func (v *VMRules) QueueForMask(k packet.FlowKey) (int, FieldMask) {
 		return q, idx.mask
 	}
 	return 0, idx.mask
-}
-
-// QueueForLinear is the seed linear-scan implementation, kept as the
-// reference for differential testing.
-func (v *VMRules) QueueForLinear(k packet.FlowKey) int {
-	best := -1
-	q := 0
-	for i := range v.QoS {
-		r := &v.QoS[i]
-		if r.Pattern.Match(k) && r.Priority > best {
-			best, q = r.Priority, r.Queue
-		}
-	}
-	return q
 }
 
 // SpecializeSecurity constructs the most specific rule defining the policy

@@ -336,31 +336,41 @@ func TestEvaluateConsistencyProperty(t *testing.T) {
 	}
 }
 
+// TestPatternString pins the rendered form: it is the canonical pattern
+// order (Compare) and appears in logs, traces and results/.
 func TestPatternString(t *testing.T) {
-	p := ExactPattern(testKey)
-	s := p.String()
-	if s == "" {
-		t.Error("empty String")
+	ip := packet.MustParseIP
+	cases := []struct {
+		p    Pattern
+		want string
+	}{
+		{ExactPattern(testKey), "t3 10.0.0.1/32:40000 > 10.0.0.2/32:11211 tcp"},
+		{Pattern{}, "t0 *:* > *:* *"},
+		{Pattern{AnyTenant: true, Tenant: 7}, "t* *:* > *:* *"},
+		{Pattern{Tenant: 4294967295, Proto: packet.ProtoUDP}, "t4294967295 *:* > *:* udp"},
+		{Pattern{Tenant: 12, Src: ip("10.1.2.3"), SrcPrefix: 0, Dst: ip("0.0.0.0"), DstPrefix: 8, DstPort: 9},
+			"t12 *:* > 0.0.0.0/8:9 *"},
+		{Pattern{Tenant: 2, Src: ip("255.255.255.255"), SrcPrefix: 16, SrcPort: 65535, Proto: 1},
+			"t2 255.255.255.255/16:65535 > *:* 1"},
+		{Pattern{Tenant: 5, Dst: ip("192.168.10.100"), DstPrefix: 24, Proto: 255},
+			"t5 *:* > 192.168.10.100/24:* 255"},
 	}
-	for _, want := range []string{"t3", "10.0.0.1/32:40000", "11211", "tcp"} {
-		if !contains(s, want) {
-			t.Errorf("String %q missing %q", s, want)
+	for _, c := range cases {
+		if got := c.p.String(); got != c.want {
+			t.Errorf("String(%+v) = %q, want %q", c.p, got, c.want)
 		}
 	}
-	if got := (Pattern{AnyTenant: true}).String(); !contains(got, "t*") {
-		t.Errorf("wildcard tenant String = %q", got)
-	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && indexOf(s, sub) >= 0
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
+	for _, c := range []struct {
+		ip   packet.IP
+		want string
+	}{
+		{0, "0.0.0.0"},
+		{packet.MakeIP(255, 255, 255, 255), "255.255.255.255"},
+		{packet.MakeIP(10, 0, 99, 100), "10.0.99.100"},
+		{packet.MakeIP(1, 20, 3, 40), "1.20.3.40"},
+	} {
+		if got := c.ip.String(); got != c.want {
+			t.Errorf("IP(%#x).String() = %q, want %q", uint32(c.ip), got, c.want)
 		}
 	}
-	return -1
 }

@@ -2,8 +2,8 @@ package rules
 
 import (
 	"errors"
-	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/packet"
@@ -192,27 +192,15 @@ func (t *TCAM) Remove(p Pattern) int {
 }
 
 // Lookup returns the winning entry for the key, or nil if nothing matches.
-// It is served from the tuple-space index; LookupLinear over the sorted
-// slice is the semantic reference (the differential tests assert they
-// agree).
+// It is served from the tuple-space index; a first-match scan of the
+// sorted slice is the semantic reference (the differential tests assert
+// they agree).
 func (t *TCAM) Lookup(k packet.FlowKey) *TCAMEntry {
 	e, ok := t.idx.Lookup(k)
 	if !ok {
 		return nil
 	}
 	return e
-}
-
-// LookupLinear returns the winning entry by first-match scan of the
-// sorted entry slice — the seed TCAM semantics, kept as the reference
-// implementation for differential testing.
-func (t *TCAM) LookupLinear(k packet.FlowKey) *TCAMEntry {
-	for _, e := range t.entries {
-		if e.Pattern.Match(k) {
-			return e
-		}
-	}
-	return nil
 }
 
 // Entries calls fn for each installed entry.
@@ -225,8 +213,8 @@ func (t *TCAM) Entries(fn func(*TCAMEntry)) {
 // PriorityTable is the vswitch user-space (slow path) rule table. The
 // seed implementation was an ordered linear scan; it now fronts the same
 // semantics with a tuple-space index, so Evaluate costs O(distinct masks)
-// hash probes instead of O(rules) pattern matches. EvaluateLinear remains
-// as the semantic reference.
+// hash probes instead of O(rules) pattern matches. The seed scan remains
+// in the tests as the semantic reference.
 type PriorityTable struct {
 	rules []SecurityRule
 	idx   *TupleSpace[Action]
@@ -275,24 +263,6 @@ func (t *PriorityTable) EvaluateMask(k packet.FlowKey) (Action, FieldMask) {
 	return a, m
 }
 
-// EvaluateLinear is the seed linear-scan implementation, kept as the
-// reference for differential testing.
-func (t *PriorityTable) EvaluateLinear(k packet.FlowKey) Action {
-	best, bestSpec := -1, -1
-	action := Deny
-	for i := range t.rules {
-		r := &t.rules[i]
-		if !r.Pattern.Match(k) {
-			continue
-		}
-		spec := r.Pattern.Specificity()
-		if r.Priority > best || (r.Priority == best && spec > bestSpec) {
-			best, bestSpec, action = r.Priority, spec, r.Action
-		}
-	}
-	return action
-}
-
 // TunnelTable maps (tenant, destination VM IP) to a tunnel endpoint —
 // maintained by the vswitch for VXLAN and offloaded into ToR VRFs for GRE.
 type TunnelTable struct {
@@ -337,5 +307,5 @@ func (t *TunnelTable) Len() int { return len(t.m) }
 
 // String summarizes table occupancy for logs.
 func (t *TCAM) String() string {
-	return fmt.Sprintf("tcam %d/%d", len(t.entries), t.capacity)
+	return "tcam " + strconv.Itoa(len(t.entries)) + "/" + strconv.Itoa(t.capacity)
 }

@@ -375,7 +375,7 @@ func (n *NIC) Patterns() []rules.Pattern {
 	for p := range n.byPattern {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 
@@ -473,7 +473,7 @@ func (n *NIC) sweepLeases() {
 	if len(dead) == 0 {
 		return
 	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i].String() < dead[j].String() })
+	sort.Slice(dead, func(i, j int) bool { return dead[i].Compare(dead[j]) < 0 })
 	for _, p := range dead {
 		n.dropRule(p)
 		n.leaseExpiries++

@@ -262,7 +262,7 @@ func (t *TOR) sweepLeases() {
 	if len(dead) == 0 {
 		return
 	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i].String() < dead[j].String() })
+	sort.Slice(dead, func(i, j int) bool { return dead[i].Compare(dead[j]) < 0 })
 	for _, p := range dead {
 		delete(t.leases, p)
 		n := t.tcam.Remove(p)

@@ -12,11 +12,12 @@
 #   internal/packet   pooled AppendMarshal vs allocate-per-packet
 #   internal/tunnel   pooled encap vs seed-style encap
 #   internal/smartnic SmartNIC match-action lookup (hit/miss/update)
-#   internal/decision 2-level Decide vs N-level DecideTiered, and full
-#                     re-sort vs incremental re-rank at 10k candidates
+#   internal/decision 2-level Decide vs N-level DecideTiered, and Decide
+#                     over 10k candidates at 1% score churn per cycle
 #   internal/sketch   count-min/space-saving update, shard observe, merge
 #
-# BENCH_BASELINE.txt is the raw `go test -bench` text (benchstat input);
+# BENCH_BASELINE.txt is the raw `go test -bench` text (benchstat input),
+# headed by an `nproc:` line recording the machine's CPU count;
 # BENCH_BASELINE.json is the stable machine-readable form produced by
 # cmd/benchjson. CI compares a fresh run against the .txt with benchstat
 # (non-blocking — shared runners are too noisy to gate on).
@@ -29,9 +30,10 @@ COUNT="${BENCH_COUNT:-1}"
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
 
+echo "nproc: $(nproc)" | tee "$OUT"
 # -run '^$' : benchmarks only, no unit tests.
 # shellcheck disable=SC2086
-go test -run '^$' -bench . -benchmem -count "$COUNT" $PKGS | tee "$OUT"
+go test -run '^$' -bench . -benchmem -count "$COUNT" $PKGS | tee -a "$OUT"
 
 if [ "${1:-}" = "-update" ]; then
 	cp "$OUT" BENCH_BASELINE.txt

@@ -90,11 +90,10 @@ func firstOffloadWave(t *testing.T, seed int64, sketchMode bool) []string {
 
 // TestSketchDifferentialOffloadDecisions is the oracle for the streaming
 // accounting path: across 200 seeds, a deployment measuring demand
-// through the count-min + space-saving accountant and deciding through
-// the incremental re-rank engine must produce exactly the offload wave
-// the exact per-flow path produces. The top-k (256) covers every live
-// pattern, so any divergence would have to come from the wiring itself —
-// a missed accrual, a mis-keyed pattern, or an incremental-rank bug.
+// through the count-min + space-saving accountant must produce exactly
+// the offload wave the exact per-flow path produces. The top-k (256)
+// covers every live pattern, so any divergence would have to come from
+// the wiring itself — a missed accrual or a mis-keyed pattern.
 func TestSketchDifferentialOffloadDecisions(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
