@@ -370,7 +370,7 @@ func (lc *LocalController) scheduleAck() {
 	}
 	if up := lc.uplink(); up != nil && up.QueueLen() > 0 {
 		lc.ackPending = true
-		lc.mgr.Cluster.Eng.After(ackRecheck, lc.retryAck)
+		lc.mgr.Cluster.Eng.PostAfter(ackRecheck, lc.retryAck)
 		return
 	}
 	lc.sendAck()
@@ -392,7 +392,7 @@ func (lc *LocalController) uplink() *fabric.Link {
 
 func (lc *LocalController) retryAck() {
 	if up := lc.uplink(); up != nil && up.QueueLen() > 0 {
-		lc.mgr.Cluster.Eng.After(ackRecheck, lc.retryAck)
+		lc.mgr.Cluster.Eng.PostAfter(ackRecheck, lc.retryAck)
 		return
 	}
 	lc.ackPending = false
@@ -493,7 +493,7 @@ func (lc *LocalController) sendToPlacers(p rules.Pattern, mod *openflow.FlowMod)
 		vm := vm
 		wire := openflow.Encode(mod, 0)
 		lc.FlowMods++
-		lc.mgr.Cluster.Eng.After(lc.mgr.Cfg.ControlDelay, func() {
+		lc.mgr.Cluster.Eng.PostAfter(lc.mgr.Cfg.ControlDelay, func() {
 			decoded, xid, _, err := openflow.Decode(wire)
 			if err != nil {
 				panic("core: flowmod decode: " + err.Error())

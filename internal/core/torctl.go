@@ -369,7 +369,7 @@ func (tc *TORController) start() {
 	// Offset the DE ticks so each interval's demand reports (epoch
 	// boundary + sample gap + control delay) have arrived.
 	offset := tc.mgr.Cfg.Measure.SampleGap + 4*tc.mgr.Cfg.ControlDelay + time.Millisecond
-	eng.After(offset, func() {
+	eng.PostAfter(offset, func() {
 		if tc.stopped || tc.crashed {
 			return
 		}
@@ -1242,7 +1242,8 @@ func (tc *TORController) announce(a openflow.OffloadAction) {
 		return
 	}
 	tc.announceQueued = true
-	tc.mgr.Cluster.Eng.CallSoon(func() {
+	eng := tc.mgr.Cluster.Eng
+	eng.Post(eng.Now(), func() {
 		tc.announceQueued = false
 		acts := tc.pendingAnnounce
 		tc.pendingAnnounce = nil
@@ -1337,7 +1338,7 @@ func (tc *TORController) beginRemove(p rules.Pattern) {
 		readyAt: eng.Now() + tc.demoteGrace(),
 	}
 	tc.removing[p] = st
-	eng.After(tc.demoteGrace(), tc.tryRemovals)
+	eng.PostAfter(tc.demoteGrace(), tc.tryRemovals)
 }
 
 // beginOrphanRemove schedules removal of a hardware rule nobody owns.
@@ -1359,7 +1360,7 @@ func (tc *TORController) beginOrphanRemove(p rules.Pattern) {
 	if tc.rec != nil {
 		tc.rec.EmitPattern(telemetry.KindOrphanSweep, p.Tenant, p, "", 0, 0)
 	}
-	eng.After(tc.demoteGrace(), tc.tryRemovals)
+	eng.PostAfter(tc.demoteGrace(), tc.tryRemovals)
 }
 
 // minAckedSeq is the lowest RuleSync sequence any local has confirmed.

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -45,7 +46,7 @@ type Queue interface {
 // FIFO is a bounded drop-tail queue (the default Link queue).
 type FIFO struct {
 	limit int
-	q     []*packet.Packet
+	q     fifo.Queue[*packet.Packet]
 	drops uint64
 }
 
@@ -60,26 +61,24 @@ func NewFIFO(limit int) *FIFO {
 
 // Enqueue implements Queue.
 func (f *FIFO) Enqueue(_ int, p *packet.Packet) bool {
-	if len(f.q) >= f.limit {
+	if f.q.Len() >= f.limit {
 		f.drops++
 		return false
 	}
-	f.q = append(f.q, p)
+	f.q.Push(p)
 	return true
 }
 
 // Dequeue implements Queue.
 func (f *FIFO) Dequeue() *packet.Packet {
-	if len(f.q) == 0 {
+	if f.q.Len() == 0 {
 		return nil
 	}
-	p := f.q[0]
-	f.q = f.q[1:]
-	return p
+	return f.q.Pop()
 }
 
 // Len implements Queue.
-func (f *FIFO) Len() int { return len(f.q) }
+func (f *FIFO) Len() int { return f.q.Len() }
 
 // Drops returns the number of tail drops.
 func (f *FIFO) Drops() uint64 { return f.drops }
@@ -103,7 +102,11 @@ type Link struct {
 	queue Queue
 	dst   Port
 
-	busy     bool
+	// tx is the packet being serialized, nil while the transmitter is
+	// idle. wire holds the packets propagating, in arrival order: prop is
+	// fixed, so packets arrive in the order they finished serializing.
+	tx       *packet.Packet
+	wire     fifo.Queue[*packet.Packet]
 	txBytes  uint64
 	txPkts   uint64
 	dropPkts uint64
@@ -118,6 +121,10 @@ type Link struct {
 
 	// rec is the flight-recorder scope; nil when telemetry is disabled.
 	rec *telemetry.Scoped
+
+	// serialized and arrive are the pump's event callbacks, bound once so
+	// that sending a packet allocates nothing.
+	serialized, arrive func()
 }
 
 // NewLink builds a link to dst. queue may be nil for a default FIFO.
@@ -128,7 +135,9 @@ func NewLink(eng *sim.Engine, bps float64, prop time.Duration, queue Queue, dst 
 	if queue == nil {
 		queue = NewFIFO(0)
 	}
-	return &Link{eng: eng, bps: bps, prop: prop, queue: queue, dst: dst}
+	l := &Link{eng: eng, bps: bps, prop: prop, queue: queue, dst: dst}
+	l.serialized, l.arrive = l.onSerialized, l.onArrive
+	return l
 }
 
 // SetDst rewires the link's far end (used while assembling topologies and
@@ -147,7 +156,7 @@ func (l *Link) SetDown(down bool) {
 		return
 	}
 	l.down = down
-	if !down && !l.busy {
+	if !down && l.tx == nil {
 		l.pump()
 	}
 }
@@ -184,7 +193,7 @@ func (l *Link) Send(q int, p *packet.Packet) {
 		}
 		return
 	}
-	if !l.busy && !l.down {
+	if l.tx == nil && !l.down {
 		l.pump()
 	}
 }
@@ -192,33 +201,40 @@ func (l *Link) Send(q int, p *packet.Packet) {
 func (l *Link) pump() {
 	if l.down {
 		// Hold the queue; SetDown(false) restarts the pump.
-		l.busy = false
 		return
 	}
 	p := l.queue.Dequeue()
 	if p == nil {
-		l.busy = false
 		return
 	}
-	l.busy = true
+	l.tx = p
 	ser := time.Duration(float64(p.WireLen()) * 8 / l.bps * float64(time.Second))
 	l.txBytes += uint64(p.WireLen())
 	l.txPkts++
-	l.eng.After(ser, func() {
-		// Wire is free for the next packet while p propagates.
-		l.eng.After(l.prop, func() {
-			if l.down {
-				// The wire failed while p was propagating.
-				l.downDrops++
-				if l.rec != nil {
-					l.rec.Record(telemetry.Event{Kind: telemetry.KindDrop, Cause: "link-down", Tenant: p.Tenant})
-				}
-				return
-			}
-			l.dst.Input(p)
-		})
-		l.pump()
-	})
+	l.eng.PostAfter(ser, l.serialized)
+}
+
+// onSerialized puts the transmitted packet on the wire, which is free for
+// the next packet while it propagates.
+func (l *Link) onSerialized() {
+	l.wire.Push(l.tx)
+	l.tx = nil
+	l.eng.PostAfter(l.prop, l.arrive)
+	l.pump()
+}
+
+// onArrive delivers the packet at the far end of the wire.
+func (l *Link) onArrive() {
+	p := l.wire.Pop()
+	if l.down {
+		// The wire failed while p was propagating.
+		l.downDrops++
+		if l.rec != nil {
+			l.rec.Record(telemetry.Event{Kind: telemetry.KindDrop, Cause: "link-down", Tenant: p.Tenant})
+		}
+		return
+	}
+	l.dst.Input(p)
 }
 
 // Stats returns transmitted packets/bytes and queue tail drops.

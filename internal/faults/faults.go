@@ -485,12 +485,12 @@ func (in *Injector) schedule(idx int, ev Event) {
 	switch ev.Kind {
 	case LinkDown:
 		l := in.links[ev.Target]
-		in.eng.At(ev.At, func() {
+		in.eng.Post(ev.At, func() {
 			l.SetDown(true)
 			in.logf("link %s down", ev.Target)
 		})
 		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
+			in.eng.Post(ev.At+ev.Duration, func() {
 				l.SetDown(false)
 				in.logf("link %s up", ev.Target)
 			})
@@ -519,32 +519,32 @@ func (in *Injector) schedule(idx int, ev Event) {
 			} else {
 				in.logf("link %s flap up", ev.Target)
 			}
-			in.eng.After(period, func() { toggle(!down) })
+			in.eng.PostAfter(period, func() { toggle(!down) })
 		}
-		in.eng.At(ev.At, func() { toggle(true) })
+		in.eng.Post(ev.At, func() { toggle(true) })
 	case PacketLoss:
 		l := in.links[ev.Target]
 		rng := in.rng(idx, ev)
-		in.eng.At(ev.At, func() {
+		in.eng.Post(ev.At, func() {
 			l.SetLoss(ev.Prob, rng)
 			in.logf("link %s loss p=%.3f", ev.Target, ev.Prob)
 		})
 		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
+			in.eng.Post(ev.At+ev.Duration, func() {
 				l.SetLoss(0, nil)
 				in.logf("link %s loss cleared", ev.Target)
 			})
 		}
 	case ChannelDown:
 		dirs := in.chans[ev.Target]
-		in.eng.At(ev.At, func() {
+		in.eng.Post(ev.At, func() {
 			for _, d := range dirs {
 				d.SetDown(true)
 			}
 			in.logf("channel %s down", ev.Target)
 		})
 		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
+			in.eng.Post(ev.At+ev.Duration, func() {
 				for _, d := range dirs {
 					d.SetDown(false)
 				}
@@ -554,14 +554,14 @@ func (in *Injector) schedule(idx int, ev Event) {
 	case ChannelLoss:
 		dirs := in.chans[ev.Target]
 		rng := in.rng(idx, ev)
-		in.eng.At(ev.At, func() {
+		in.eng.Post(ev.At, func() {
 			for _, d := range dirs {
 				d.SetLoss(ev.Prob, rng)
 			}
 			in.logf("channel %s loss p=%.3f", ev.Target, ev.Prob)
 		})
 		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
+			in.eng.Post(ev.At+ev.Duration, func() {
 				for _, d := range dirs {
 					d.SetLoss(0, nil)
 				}
@@ -570,14 +570,14 @@ func (in *Injector) schedule(idx int, ev Event) {
 		}
 	case ChannelDelay:
 		dirs := in.chans[ev.Target]
-		in.eng.At(ev.At, func() {
+		in.eng.Post(ev.At, func() {
 			for _, d := range dirs {
 				d.SetExtraDelay(ev.Delay)
 			}
 			in.logf("channel %s +%v delay", ev.Target, ev.Delay)
 		})
 		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
+			in.eng.Post(ev.At+ev.Duration, func() {
 				for _, d := range dirs {
 					d.SetExtraDelay(0)
 				}
@@ -591,7 +591,7 @@ func (in *Injector) schedule(idx int, ev Event) {
 			prob = 1
 		}
 		rng := in.rng(idx, ev)
-		in.eng.At(ev.At, func() {
+		in.eng.Post(ev.At, func() {
 			tbl.SetInstallFault(func() error {
 				if prob >= 1 || rng.Float64() < prob {
 					return ErrInjected
@@ -601,19 +601,19 @@ func (in *Injector) schedule(idx int, ev Event) {
 			in.logf("table %s rejecting installs p=%.3f", ev.Target, prob)
 		})
 		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
+			in.eng.Post(ev.At+ev.Duration, func() {
 				tbl.SetInstallFault(nil)
 				in.logf("table %s install fault cleared", ev.Target)
 			})
 		}
 	case ControllerCrash:
 		c := in.ctrls[ev.Target]
-		in.eng.At(ev.At, func() {
+		in.eng.Post(ev.At, func() {
 			c.Crash()
 			in.logf("controller %s crashed", ev.Target)
 		})
 		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
+			in.eng.Post(ev.At+ev.Duration, func() {
 				c.Restart()
 				in.logf("controller %s restarted", ev.Target)
 			})
@@ -624,12 +624,12 @@ func (in *Injector) schedule(idx int, ev Event) {
 		if rate == 0 {
 			rate = 10000
 		}
-		in.eng.At(ev.At, func() {
+		in.eng.Post(ev.At, func() {
 			s.SetStorm(rate)
 			in.logf("stormer %s storming at %.0f pps", ev.Target, rate)
 		})
 		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
+			in.eng.Post(ev.At+ev.Duration, func() {
 				s.SetStorm(0)
 				in.logf("stormer %s storm cleared", ev.Target)
 			})
@@ -641,24 +641,24 @@ func (in *Injector) schedule(idx int, ev Event) {
 			prob = 1
 		}
 		rng := in.rng(idx, ev)
-		in.eng.At(ev.At, func() {
+		in.eng.Post(ev.At, func() {
 			s.SetStatsLoss(prob, rng)
 			in.logf("stats %s loss p=%.3f", ev.Target, prob)
 		})
 		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
+			in.eng.Post(ev.At+ev.Duration, func() {
 				s.SetStatsLoss(0, nil)
 				in.logf("stats %s loss cleared", ev.Target)
 			})
 		}
 	case StatsDelay:
 		s := in.stats[ev.Target]
-		in.eng.At(ev.At, func() {
+		in.eng.Post(ev.At, func() {
 			s.SetStatsDelay(ev.Delay)
 			in.logf("stats %s +%v delay", ev.Target, ev.Delay)
 		})
 		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
+			in.eng.Post(ev.At+ev.Duration, func() {
 				s.SetStatsDelay(0)
 				in.logf("stats %s delay cleared", ev.Target)
 			})
@@ -669,10 +669,10 @@ func (in *Injector) schedule(idx int, ev Event) {
 			lost := n.ResetTable()
 			in.logf("nic %s reset (%d rules lost)", ev.Target, lost)
 		}
-		in.eng.At(ev.At, fire)
+		in.eng.Post(ev.At, fire)
 		if ev.Period > 0 && ev.Duration > 0 {
 			for t := ev.At + ev.Period; t < ev.At+ev.Duration; t += ev.Period {
-				in.eng.At(t, fire)
+				in.eng.Post(t, fire)
 			}
 		}
 	case NICCorrupt:
@@ -682,21 +682,21 @@ func (in *Injector) schedule(idx int, ev Event) {
 			prob = 0.5
 		}
 		rng := in.rng(idx, ev)
-		in.eng.At(ev.At, func() {
+		in.eng.Post(ev.At, func() {
 			lost := n.CorruptRules(prob, rng)
 			in.logf("nic %s corrupted (%d rules lost, p=%.3f)", ev.Target, lost, prob)
 		})
 	case PartitionNode:
 		pt := in.partitions[ev.Target]
 		all := append(append([]Channel(nil), pt.inbound...), pt.outbound...)
-		in.eng.At(ev.At, func() {
+		in.eng.Post(ev.At, func() {
 			for _, d := range all {
 				d.SetDown(true)
 			}
 			in.logf("partition %s isolated", ev.Target)
 		})
 		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
+			in.eng.Post(ev.At+ev.Duration, func() {
 				for _, d := range all {
 					d.SetDown(false)
 				}
@@ -705,14 +705,14 @@ func (in *Injector) schedule(idx int, ev Event) {
 		}
 	case PartitionAsym:
 		pt := in.partitions[ev.Target]
-		in.eng.At(ev.At, func() {
+		in.eng.Post(ev.At, func() {
 			for _, d := range pt.outbound {
 				d.SetDown(true)
 			}
 			in.logf("partition %s outbound severed", ev.Target)
 		})
 		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
+			in.eng.Post(ev.At+ev.Duration, func() {
 				for _, d := range pt.outbound {
 					d.SetDown(false)
 				}
@@ -721,12 +721,12 @@ func (in *Injector) schedule(idx int, ev Event) {
 		}
 	case ControllerPause:
 		p := in.pausables[ev.Target]
-		in.eng.At(ev.At, func() {
+		in.eng.Post(ev.At, func() {
 			p.Pause()
 			in.logf("controller %s paused", ev.Target)
 		})
 		if ev.Duration > 0 {
-			in.eng.At(ev.At+ev.Duration, func() {
+			in.eng.Post(ev.At+ev.Duration, func() {
 				p.Resume()
 				in.logf("controller %s resumed", ev.Target)
 			})

@@ -9,6 +9,7 @@ package host
 import (
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -19,8 +20,14 @@ import (
 type CPUStation struct {
 	eng   *sim.Engine
 	slots int
-	busy  int
-	queue []work
+	queue fifo.Queue[work]
+	// serving[i] is the item CPU slot i serves and finish[i] its
+	// completion callback, bound the first time the slot is used so that
+	// serving an item allocates nothing. idle lists the bound slots that
+	// are free.
+	serving []work
+	finish  []func()
+	idle    []int
 
 	// Account accumulates CPU busy time.
 	Account metrics.CPUAccount
@@ -48,27 +55,46 @@ func (s *CPUStation) Submit(cost time.Duration, done func()) {
 	if cost < 0 {
 		cost = 0
 	}
-	s.queue = append(s.queue, work{cost: cost, done: done})
-	if len(s.queue) > s.peakQueue {
-		s.peakQueue = len(s.queue)
+	s.queue.Push(work{cost: cost, done: done})
+	if s.queue.Len() > s.peakQueue {
+		s.peakQueue = s.queue.Len()
 	}
 	s.pump()
 }
 
 func (s *CPUStation) pump() {
-	for s.busy < s.slots && len(s.queue) > 0 {
-		w := s.queue[0]
-		s.queue = s.queue[1:]
-		s.busy++
-		s.eng.After(w.cost, func() {
-			s.Account.Charge(w.cost)
-			s.busy--
-			if w.done != nil {
-				w.done()
-			}
-			s.pump()
-		})
+	for s.Busy() < s.slots && s.queue.Len() > 0 {
+		w := s.queue.Pop()
+		i := s.idleSlot()
+		s.serving[i] = w
+		s.eng.PostAfter(w.cost, s.finish[i])
 	}
+}
+
+// idleSlot claims a free CPU slot, binding a new one if every bound slot
+// is busy.
+func (s *CPUStation) idleSlot() int {
+	if n := len(s.idle); n > 0 {
+		i := s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		return i
+	}
+	i := len(s.finish)
+	s.serving = append(s.serving, work{})
+	s.finish = append(s.finish, func() { s.complete(i) })
+	return i
+}
+
+// complete ends the service of slot i's item.
+func (s *CPUStation) complete(i int) {
+	w := s.serving[i]
+	s.serving[i] = work{}
+	s.idle = append(s.idle, i)
+	s.Account.Charge(w.cost)
+	if w.done != nil {
+		w.done()
+	}
+	s.pump()
 }
 
 // Exec adapts the station to the Exec hooks of vswitch/nic.
@@ -77,7 +103,7 @@ func (s *CPUStation) Exec() func(cost time.Duration, fn func()) {
 }
 
 // QueueLen returns the current backlog (excluding in-service items).
-func (s *CPUStation) QueueLen() int { return len(s.queue) }
+func (s *CPUStation) QueueLen() int { return s.queue.Len() }
 
 // PeakQueue returns the deepest backlog observed.
 func (s *CPUStation) PeakQueue() int { return s.peakQueue }
@@ -86,4 +112,4 @@ func (s *CPUStation) PeakQueue() int { return s.peakQueue }
 func (s *CPUStation) Slots() int { return s.slots }
 
 // Busy returns the number of in-service items.
-func (s *CPUStation) Busy() int { return s.busy }
+func (s *CPUStation) Busy() int { return len(s.finish) - len(s.idle) }

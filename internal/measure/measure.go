@@ -173,7 +173,7 @@ func (m *Engine) runEpoch() {
 		return
 	}
 	m.takeSample(true)
-	m.eng.After(m.cfg.SampleGap, func() {
+	m.eng.PostAfter(m.cfg.SampleGap, func() {
 		if m.stopped {
 			return
 		}
@@ -304,7 +304,7 @@ func (m *Engine) deliver(rep openflow.DemandReport) {
 	}
 	if m.delay > 0 {
 		m.ReportsDelayed++
-		m.eng.After(m.delay, func() {
+		m.eng.PostAfter(m.delay, func() {
 			if !m.stopped {
 				m.OnReport(rep)
 			}

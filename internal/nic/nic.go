@@ -130,7 +130,7 @@ func (n *NIC) SendFromVF(vlan packet.VLANID, p *packet.Packet) {
 			}
 			f.txClock = at
 		}
-		n.eng.At(at, func() {
+		n.eng.Post(at, func() {
 			n.vfTx++
 			n.wire.Send(0, p)
 		})
@@ -180,7 +180,7 @@ func (n *NIC) Input(p *packet.Packet) {
 			at = f.rxClock
 		}
 		f.rxClock = at
-		n.eng.At(at, func() {
+		n.eng.Post(at, func() {
 			n.vfRx++
 			f.deliver.Input(p)
 		})

@@ -107,7 +107,7 @@ func (t *Transport) send(msg Message, xid uint32) {
 		}
 		return
 	}
-	t.eng.After(t.delay+t.extra, func() {
+	t.eng.PostAfter(t.delay+t.extra, func() {
 		if t.peer == nil {
 			return
 		}

@@ -1,12 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation engine:
-// a virtual clock, an event scheduler backed by a binary heap, and a
-// seedable random source. All timing in the FasTrak testbed emulation is
-// driven by this engine, which makes every experiment reproducible
-// bit-for-bit from its seed.
+// a virtual clock, an event scheduler backed by a typed 4-ary min-heap,
+// and a seedable random source. All timing in the FasTrak testbed
+// emulation is driven by this engine, which makes every experiment
+// reproducible bit-for-bit from its seed.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -17,14 +16,13 @@ import (
 // convenient arithmetic/formatting.
 type Time = time.Duration
 
-// Event is a scheduled callback. Events with equal times fire in the order
-// they were scheduled (FIFO tie-break by sequence number), which keeps
-// simulations deterministic.
+// Event is the cancellation handle of a callback scheduled with At, After
+// or CallSoon. Events with equal times fire in the order they were
+// scheduled (FIFO tie-break by sequence number), which keeps simulations
+// deterministic. Handles are never reused, so a Cancel that arrives after
+// the event fired is harmless.
 type Event struct {
 	at   Time
-	seq  uint64
-	fn   func()
-	idx  int // heap index; -1 when not queued
 	dead bool
 }
 
@@ -38,33 +36,17 @@ func (e *Event) Cancel() { e.dead = true }
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.dead }
 
-type eventHeap []*Event
+// entry is one queued callback. ev is nil for callbacks scheduled with
+// Post/PostAfter, which cannot be canceled.
+type entry struct {
+	at  Time
+	seq uint64
+	fn  func()
+	ev  *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine is a discrete-event scheduler. The zero value is not usable; call
@@ -73,9 +55,11 @@ func (h *eventHeap) Pop() any {
 // OpenFlow connections over net.Pipe) must synchronize back onto the engine
 // via CallSoon.
 type Engine struct {
-	now     Time
-	seq     uint64
-	queue   eventHeap
+	now Time
+	seq uint64
+	// queue is a 4-ary min-heap ordered by (at, seq); the key is unique,
+	// so the firing order does not depend on the heap's shape.
+	queue   []entry
 	rng     *rand.Rand
 	stopped bool
 	// processed counts events executed, exposed for tests and for the
@@ -98,31 +82,88 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// At schedules fn to run at the absolute virtual time at. Scheduling in the
-// past panics: it always indicates a model bug, and silently reordering
-// time would corrupt every downstream measurement.
+// At schedules fn to run at the absolute virtual time at and returns a
+// handle that can cancel it. Scheduling in the past panics: it always
+// indicates a model bug, and silently reordering time would corrupt every
+// downstream measurement.
 func (e *Engine) At(at Time, fn func()) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
-	}
-	ev := &Event{at: at, seq: e.seq, fn: fn}
-	e.seq++
-	heap.Push(&e.queue, ev)
+	ev := &Event{at: at}
+	e.push(at, fn, ev)
 	return ev
 }
 
 // After schedules fn to run d after the current time. Negative d is treated
 // as zero.
 func (e *Engine) After(d time.Duration, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now+d, fn)
+	return e.At(e.now+max(d, 0), fn)
 }
 
 // CallSoon schedules fn at the current time, after already-pending events
 // at this instant.
 func (e *Engine) CallSoon(fn func()) *Event { return e.At(e.now, fn) }
+
+// Post schedules fn like At but returns no handle, so it allocates
+// nothing: the way to schedule a callback that is never canceled.
+func (e *Engine) Post(at Time, fn func()) { e.push(at, fn, nil) }
+
+// PostAfter schedules fn like After but returns no handle.
+func (e *Engine) PostAfter(d time.Duration, fn func()) { e.push(e.now+max(d, 0), fn, nil) }
+
+func (e *Engine) push(at Time, fn func(), ev *Event) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
+	}
+	x := entry{at: at, seq: e.seq, fn: fn, ev: ev}
+	e.seq++
+	q := append(e.queue, x)
+	// Sift the hole at the end up to x's place.
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = x
+	e.queue = q
+}
+
+// pop removes and returns the earliest entry; the queue must be non-empty.
+func (e *Engine) pop() entry {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	x := q[n]
+	q[n] = entry{} // drop the references for the GC
+	q = q[:n]
+	e.queue = q
+	if n == 0 {
+		return top
+	}
+	// Sift the hole at the root down to x's place.
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&x) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = x
+	return top
+}
 
 // Every schedules fn every period, starting one period from now, until the
 // returned Ticker is stopped or the engine finishes.
@@ -171,14 +212,16 @@ func (e *Engine) Stop() { e.stopped = true }
 // empty.
 func (e *Engine) step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.dead {
-			continue
+		x := e.pop()
+		if x.ev != nil {
+			if x.ev.dead {
+				continue
+			}
+			x.ev.dead = true
 		}
-		e.now = ev.at
-		ev.dead = true
+		e.now = x.at
 		e.processed++
-		ev.fn()
+		x.fn()
 		return true
 	}
 	return false
@@ -221,10 +264,10 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // move.
 func (e *Engine) NextAt() (Time, bool) {
 	for len(e.queue) > 0 {
-		if !e.queue[0].dead {
-			return e.queue[0].at, true
+		if x := &e.queue[0]; x.ev == nil || !x.ev.dead {
+			return x.at, true
 		}
-		heap.Pop(&e.queue)
+		e.pop()
 	}
 	return 0, false
 }

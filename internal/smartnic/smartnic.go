@@ -349,7 +349,7 @@ func (n *NIC) TryEgress(k packet.FlowKey, p *packet.Packet) bool {
 	}
 	n.txClock = at
 	tenant, src := k.Tenant, k.Src
-	n.eng.At(at, func() { n.forward(tenant, src, p) })
+	n.eng.Post(at, func() { n.forward(tenant, src, p) })
 	return true
 }
 

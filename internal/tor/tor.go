@@ -407,7 +407,7 @@ func (t *TOR) shape(k limKey, wireLen int) (time.Duration, bool) {
 
 // Input implements fabric.Port: one packet arriving on any port.
 func (t *TOR) Input(p *packet.Packet) {
-	t.eng.After(t.latency, func() { t.process(p) })
+	t.eng.PostAfter(t.latency, func() { t.process(p) })
 }
 
 func (t *TOR) process(p *packet.Packet) {
@@ -481,7 +481,7 @@ func (t *TOR) fromVF(p *packet.Packet) {
 		return
 	}
 	queue := entry.Queue
-	t.eng.After(delay, func() {
+	t.eng.PostAfter(delay, func() {
 		t.greTx++
 		if m.Remote == t.Loopback {
 			// Destination VM homed under this same ToR: hairpin
@@ -579,7 +579,7 @@ func (t *TOR) terminateGREAdmitted(p *packet.Packet, admitted *rules.TCAMEntry) 
 		return
 	}
 	queue := entry.Queue
-	t.eng.After(delay, func() {
+	t.eng.PostAfter(delay, func() {
 		if ql, ok := out.(queueAware); ok {
 			ql.InputQ(queue, inner)
 			return

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/packet"
 	"repro/internal/ratelimit"
 )
@@ -158,23 +159,21 @@ type upcallJob struct {
 	waiters []func(fpVerdict)
 }
 
-// vifFIFO is one VIF's bounded upcall queue.
-type vifFIFO struct{ jobs []*upcallJob }
-
 // tenantSched is one tenant's slow-path scheduling state: a DRR deficit
-// and round-robin over its VIF queues.
+// and round-robin over its VIF queues (each bounded by
+// UpcallQueueDepth).
 type tenantSched struct {
 	deficit  time.Duration
-	queues   map[VMKey]*vifFIFO
+	queues   map[VMKey]*fifo.Queue[*upcallJob]
 	order    []VMKey
 	idx      int
 	inFlight uint64
 }
 
-func (ts *tenantSched) queueFor(vif VMKey) *vifFIFO {
+func (ts *tenantSched) queueFor(vif VMKey) *fifo.Queue[*upcallJob] {
 	q, ok := ts.queues[vif]
 	if !ok {
-		q = &vifFIFO{}
+		q = &fifo.Queue[*upcallJob]{}
 		ts.queues[vif] = q
 		ts.order = append(ts.order, vif)
 	}
@@ -183,13 +182,13 @@ func (ts *tenantSched) queueFor(vif VMKey) *vifFIFO {
 
 // current compacts drained VIFs out of the ring and returns the queue at
 // the round-robin cursor, or nil when the tenant has no pending work.
-func (ts *tenantSched) current() *vifFIFO {
+func (ts *tenantSched) current() *fifo.Queue[*upcallJob] {
 	for len(ts.order) > 0 {
 		if ts.idx >= len(ts.order) {
 			ts.idx = 0
 		}
 		q := ts.queues[ts.order[ts.idx]]
-		if len(q.jobs) > 0 {
+		if q.Len() > 0 {
 			return q
 		}
 		delete(ts.queues, ts.order[ts.idx])
@@ -200,7 +199,7 @@ func (ts *tenantSched) current() *vifFIFO {
 
 func (ts *tenantSched) peek() *upcallJob {
 	if q := ts.current(); q != nil {
-		return q.jobs[0]
+		return q.Peek()
 	}
 	return nil
 }
@@ -212,8 +211,7 @@ func (ts *tenantSched) dequeue() *upcallJob {
 	if q == nil {
 		return nil
 	}
-	job := q.jobs[0]
-	q.jobs = q.jobs[1:]
+	job := q.Pop()
 	ts.idx++
 	return job
 }
@@ -221,7 +219,7 @@ func (ts *tenantSched) dequeue() *upcallJob {
 func (ts *tenantSched) queued() uint64 {
 	var n uint64
 	for _, q := range ts.queues {
-		n += uint64(len(q.jobs))
+		n += uint64(q.Len())
 	}
 	return n
 }
@@ -377,15 +375,15 @@ func (u *upcallSched) admit(now time.Duration, job *upcallJob) admitResult {
 	}
 	ts, ok := u.tenants[t]
 	if !ok {
-		ts = &tenantSched{queues: make(map[VMKey]*vifFIFO)}
+		ts = &tenantSched{queues: make(map[VMKey]*fifo.Queue[*upcallJob])}
 		u.tenants[t] = ts
 	}
 	q := ts.queueFor(job.vif)
-	if len(q.jobs) >= u.cfg.UpcallQueueDepth {
+	if q.Len() >= u.cfg.UpcallQueueDepth {
 		st.QueueDrops++
 		return admitQueueFull
 	}
-	q.jobs = append(q.jobs, job)
+	q.Push(job)
 	u.activate(t)
 	u.pending[job.key] = job
 	return admitOK

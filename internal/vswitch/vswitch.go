@@ -564,7 +564,7 @@ func (s *Switch) shapeEgress(vp *vport, p *packet.Packet, then func()) {
 			return
 		}
 		vp.egressMeter.Record(p.WireLen())
-		s.eng.After(delay, then)
+		s.eng.PostAfter(delay, then)
 	})
 }
 
@@ -586,7 +586,7 @@ func (s *Switch) addPathLatency(clock *time.Duration, then func()) {
 		at = *clock
 	}
 	*clock = at
-	s.eng.At(at, then)
+	s.eng.Post(at, then)
 }
 
 // transmit encapsulates (when tunneling) and hands the packet to the NIC.
@@ -656,7 +656,7 @@ func (s *Switch) TransmitOffloaded(key VMKey, p *packet.Packet) {
 		return
 	}
 	vp.egressMeter.Record(p.WireLen())
-	s.eng.After(delay, func() { s.transmit(vp, k, p) })
+	s.eng.PostAfter(delay, func() { s.transmit(vp, k, p) })
 }
 
 func (s *Switch) deliverLocal(dst *vport, p *packet.Packet) {
@@ -734,7 +734,7 @@ func (s *Switch) shapeIngress(vp *vport, p *packet.Packet, then func()) {
 			return
 		}
 		vp.ingressMeter.Record(p.WireLen())
-		s.eng.After(delay, then)
+		s.eng.PostAfter(delay, then)
 	})
 }
 

@@ -199,7 +199,7 @@ func (ms *Memslap) onResponse(conn *slapConn, p *packet.Packet) {
 // pending after RetryTimeout is retransmitted (the GETs are idempotent,
 // and completion is de-duplicated by sequence number).
 func (ms *Memslap) armRetry(conn *slapConn) {
-	ms.eng.After(ms.RetryTimeout, func() {
+	ms.eng.PostAfter(ms.RetryTimeout, func() {
 		if ms.stopped {
 			return
 		}

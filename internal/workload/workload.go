@@ -138,7 +138,7 @@ func (st *streamThread) fill() {
 // armRetry retransmits unacked messages past the timeout, oldest (lowest
 // sequence) first for deterministic simulations.
 func (st *streamThread) armRetry() {
-	st.s.eng.After(st.s.RetryTimeout, func() {
+	st.s.eng.PostAfter(st.s.RetryTimeout, func() {
 		if st.s.stopped {
 			return
 		}
@@ -258,7 +258,7 @@ func (r *RR) issue(srcPort uint16) {
 
 // armRetry retransmits requests whose responses are overdue.
 func (r *RR) armRetry() {
-	r.eng.After(r.RetryTimeout, func() {
+	r.eng.PostAfter(r.RetryTimeout, func() {
 		if r.stopped {
 			return
 		}

@@ -7,6 +7,8 @@
 #   scripts/bench.sh -update    # also rewrite BENCH_BASELINE.{txt,json}
 #
 # The benchmarked packages are the fast-path hot spots:
+#   internal/sim      event engine: hold model at the sim-rack queue depth
+#                     (events/s)
 #   internal/rules    tuple-space classification vs linear scan
 #   internal/vswitch  megaflow cache vs slow-path upcall
 #   internal/packet   pooled AppendMarshal vs allocate-per-packet
@@ -25,7 +27,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PKGS="./internal/rules ./internal/vswitch ./internal/packet ./internal/tunnel ./internal/smartnic ./internal/decision ./internal/sketch"
+PKGS="./internal/sim ./internal/rules ./internal/vswitch ./internal/packet ./internal/tunnel ./internal/smartnic ./internal/decision ./internal/sketch"
 COUNT="${BENCH_COUNT:-1}"
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
